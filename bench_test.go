@@ -1,8 +1,10 @@
 // Benchmarks regenerating every table and figure of the GRAFICS paper
 // (run `go test -bench=. -benchmem`), plus ablation benches for the design
-// choices called out in DESIGN.md §5 and micro-benchmarks of the hot
-// paths. Figure benches run at a reduced scale so the full suite stays in
-// the minutes range; cmd/experiments reproduces them at any scale.
+// choices the implementation makes beyond the paper (symmetric E-LINE
+// term, negative-sample count, RSS offset, parallel SGD, cluster
+// constraints, AP churn) and micro-benchmarks of the hot paths. Figure
+// benches run at a reduced scale so the full suite stays in the minutes
+// range; cmd/experiments reproduces them at any scale.
 // Quality metrics (micro-F etc.) are attached via b.ReportMetric, so each
 // bench reports both cost and the reproduced result.
 package grafics
@@ -212,7 +214,7 @@ func BenchmarkFig17MACFraction(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benches (DESIGN.md §5).
+// Ablation benches: one design choice varied at a time.
 
 // benchCampusGraph builds a campus graph once for the ablation benches.
 func benchCampusGraph(b *testing.B, recordsPerFloor int) *rfgraph.Graph {
@@ -362,8 +364,8 @@ func BenchmarkAblationClusterConstraint(b *testing.B) {
 
 // BenchmarkAblationAPChurn scores GRAFICS as a growing share of APs are
 // installed/removed mid-campaign — the temporal heterogeneity of §III-A.
-// The metric shows the graceful degradation (and is the knob DESIGN.md
-// documents as available but off by default in the corpus profiles).
+// The metric shows the graceful degradation; simulate.Params.APChurnFraction
+// is the knob, available but off by default in the corpus profiles.
 func BenchmarkAblationAPChurn(b *testing.B) {
 	for _, churn := range []float64{0, 0.3, 0.6} {
 		b.Run(fmt.Sprintf("churn=%.1f", churn), func(b *testing.B) {

@@ -1,6 +1,6 @@
 // Command datagen emits synthetic crowdsourced RF corpora as JSON. The
-// profiles mirror the two datasets of the GRAFICS paper (see DESIGN.md §2
-// for the substitution rationale):
+// profiles mirror the two datasets of the GRAFICS paper (package
+// internal/simulate documents the substitution rationale):
 //
 //	datagen -profile microsoft -buildings 204 -records 1000 -out ms.json
 //	datagen -profile hongkong  -records 1000 -out hk.json

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the GRAFICS
-// paper's evaluation section against the synthetic corpora (see DESIGN.md
-// for the per-figure index and EXPERIMENTS.md for recorded outputs).
+// paper's evaluation section against the synthetic corpora; -fig selects
+// figures by their number in the paper, or all of them.
 //
 //	experiments -fig all              # run everything at harness scale
 //	experiments -fig 11 -scale full   # one figure at paper scale

@@ -268,7 +268,8 @@ func ReplayWAL(dir string, fn func(WALRecord) error) (int, error) {
 }
 
 // SimulateParams configures the synthetic crowdsourced-corpus generator
-// that stands in for the paper's proprietary datasets (see DESIGN.md §2).
+// that stands in for the paper's proprietary datasets (the substitution is
+// documented in package internal/simulate).
 type SimulateParams = simulate.Params
 
 // MicrosoftLikeParams mimics the Kaggle corpus: many 2-12 floor buildings.

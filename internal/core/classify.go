@@ -502,8 +502,11 @@ func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o opti
 			_ = s.graph.RemoveMAC(mac)
 		}
 	}()
+	// Embed against the published sampler — the one a read-only
+	// classification of this scan would use — and refresh it once below,
+	// after the insert is committed.
 	inc := s.incrementalFor(o, seq)
-	if err := embed.EmbedNewNode(s.graph, s.emb, id, inc); err != nil {
+	if err := embed.EmbedNewNode(s.graph, s.emb, id, inc, s.neg); err != nil {
 		return Result{}, fmt.Errorf("core: online embedding: %w", err)
 	}
 	// resultFromEgo copies the ego into the Result, so handing it the

@@ -83,3 +83,46 @@ func BenchmarkClassifyParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAbsorb measures the crowd write path — graph insert, online
+// embedding against the published sampler, and the one sampler refresh
+// that follows — on a HongKongLike-scale building: 10 floors of 120 m
+// sides, about 4k graph nodes at fit, growing by one record node (and
+// any new MACs) with every absorbed scan.
+func BenchmarkAbsorb(b *testing.B) {
+	p := simulate.HongKongLike(200, 7)
+	p.NumBuildings = 1
+	p.FloorsMin, p.FloorsMax = 10, 10
+	p.SideMin, p.SideMax = 120, 120
+	corpus, err := simulate.Generate(p)
+	if err != nil {
+		b.Fatalf("simulate: %v", err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	train, stream, err := dataset.Split(&corpus.Buildings[0], 0.35, rng)
+	if err != nil {
+		b.Fatalf("split: %v", err)
+	}
+	dataset.SelectLabels(train, 8, rng)
+	cfg := Config{}
+	cfg.Embed = embed.DefaultConfig()
+	cfg.Embed.SamplesPerEdge = 40
+	s := New(cfg)
+	if err := s.AddTraining(train); err != nil {
+		b.Fatalf("AddTraining: %v", err)
+	}
+	if err := s.Fit(); err != nil {
+		b.Fatalf("Fit: %v", err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Classify(ctx, &stream[i%len(stream)], WithAbsorb(), WithoutEmbedding()); err != nil {
+			b.Fatalf("absorb: %v", err)
+		}
+	}
+	b.StopTimer()
+	st := s.Stats()
+	b.ReportMetric(float64(st.Records+st.MACs), "nodes")
+}

@@ -137,6 +137,14 @@ type System struct {
 	// grafics:guardedby mu
 	neg *embed.NegativeSampler
 
+	// negBuilder produces the sampler published as neg (Fit, Load,
+	// absorbs, RemoveMAC). It memoizes the per-node deg^{3/4} weights, so
+	// a rebuild after one absorb recomputes only the nodes the scan
+	// touched, and a failed rebuild leaves neg intact.
+	//
+	// grafics:guardedby mu
+	negBuilder embed.NegativeSamplerBuilder
+
 	// trainRecords holds training records in insertion order; trainNodes
 	// holds their graph node IDs at the same indices.
 	//
@@ -269,7 +277,7 @@ func (s *System) FitCtx(ctx context.Context) error {
 		}
 		return fmt.Errorf("core: clustering: %w", err)
 	}
-	neg, err := embed.NewNegativeSampler(s.graph, emb)
+	neg, err := s.negBuilder.Rebuild(s.graph, emb)
 	if err != nil {
 		return fmt.Errorf("core: negative sampler: %w", err)
 	}
@@ -283,18 +291,19 @@ func (s *System) FitCtx(ctx context.Context) error {
 
 // refreshSampler rebuilds the shared negative-sampling distribution after
 // a graph mutation. The caller holds the write lock. A rebuild failure
-// leaves the previous sampler in place: predictions stay consistent with
-// the pre-mutation snapshot rather than failing outright — but the
-// failure is counted and kept (see Stats), because a sampler that can
-// never rebuild drifts ever further from the live graph and an operator
-// can only notice through the stats surface.
+// leaves the previous sampler in place, untouched (negBuilder validates
+// before it overwrites anything the sampler uses): predictions stay
+// consistent with the pre-mutation snapshot rather than failing outright
+// — but the failure is counted and kept (see Stats), because a sampler
+// that can never rebuild drifts ever further from the live graph and an
+// operator can only notice through the stats surface.
 //
 //grafics:locked mu
 func (s *System) refreshSampler() {
 	if !s.trained {
 		return
 	}
-	neg, err := embed.NewNegativeSampler(s.graph, s.emb)
+	neg, err := s.negBuilder.Rebuild(s.graph, s.emb)
 	if err != nil {
 		s.samplerFailures.Inc()
 		samplerRebuildFailuresTotal.Inc()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,48 @@ func TestSamplerRebuildFailureSurfaced(t *testing.T) {
 	if st.SamplerRebuildFailures != n || st.LastSamplerError != msg {
 		t.Errorf("Stats() = (%d, %q), want (%d, %q)",
 			st.SamplerRebuildFailures, st.LastSamplerError, n, msg)
+	}
+}
+
+// TestClassifyServesStaleSamplerAfterFailedRebuild: when a rebuild
+// fails, the sampler published before it must keep serving unchanged —
+// node list and alias table, after absorbs have cycled the builder's
+// node buffers — so a fixed-seed classification reproduces its
+// pre-failure result exactly, and every failure is counted.
+func TestClassifyServesStaleSamplerAfterFailedRebuild(t *testing.T) {
+	s, test := trainedSystem(t)
+	ctx := context.Background()
+	for i := range test[:2] {
+		if _, err := s.Classify(ctx, &test[i], WithAbsorb()); err != nil {
+			t.Fatalf("absorb %d: %v", i, err)
+		}
+	}
+	scan := &test[2]
+	want, err := s.Classify(ctx, scan, WithSeed(5))
+	if err != nil {
+		t.Fatalf("Classify before the failure: %v", err)
+	}
+	// Detach every record node: the MACs stay known (a scan can still be
+	// classified) but no trained node keeps an edge, so the sampler
+	// cannot be rebuilt.
+	s.mu.Lock()
+	for _, id := range s.graph.RecordNodes() {
+		if err := s.graph.RemoveRecord(s.graph.Name(id)); err != nil {
+			s.mu.Unlock()
+			t.Fatalf("RemoveRecord: %v", err)
+		}
+	}
+	s.refreshSampler()
+	s.refreshSampler()
+	s.mu.Unlock()
+	if n, msg := s.SamplerRebuildFailures(); n != 2 || msg == "" {
+		t.Fatalf("SamplerRebuildFailures = (%d, %q), want 2 failures and a message", n, msg)
+	}
+	got, err := s.Classify(ctx, scan, WithSeed(5))
+	if err != nil {
+		t.Fatalf("Classify on the stale sampler: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stale-sampler result %+v, want the pre-failure %+v", got, want)
 	}
 }

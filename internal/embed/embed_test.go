@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -218,7 +219,11 @@ func TestEmbedNewNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRecord: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig()); err != nil {
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
+	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), neg); err != nil {
 		t.Fatalf("EmbedNewNode: %v", err)
 	}
 	mean := func(ids []rfgraph.NodeID) float64 {
@@ -247,7 +252,11 @@ func TestEmbedNewNodeWithNewMAC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddRecord: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig()); err != nil {
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
+	if err := EmbedNewNode(g, emb, id, DefaultIncrementalConfig(), neg); err != nil {
 		t.Fatalf("EmbedNewNode: %v", err)
 	}
 	if emb.EgoOf(id) == nil {
@@ -275,8 +284,12 @@ func TestEmbedDetachedOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewOverlay: %v", err)
 	}
+	neg, err := NewNegativeSampler(ov, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
 	cfg := DefaultIncrementalConfig()
-	ego, ctx, err := EmbedDetached(ov, emb, ov.Node(), cfg, nil)
+	ego, ctx, err := EmbedDetached(ov, emb, ov.Node(), cfg, neg)
 	if err != nil {
 		t.Fatalf("EmbedDetached: %v", err)
 	}
@@ -291,7 +304,7 @@ func TestEmbedDetachedOverlay(t *testing.T) {
 			t.Fatal("EmbedDetached mutated a frozen row")
 		}
 	}
-	egoOnly, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, nil)
+	egoOnly, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
 	if err != nil {
 		t.Fatalf("EmbedDetachedEgo: %v", err)
 	}
@@ -313,36 +326,112 @@ func TestEmbedDetachedOverlay(t *testing.T) {
 	}
 }
 
-// TestEmbedDetachedSharedSampler checks that passing a prebuilt
-// NegativeSampler reproduces the build-on-the-fly result exactly.
+// TestEmbedDetachedSharedSampler checks that a sampler kept warm by a
+// NegativeSamplerBuilder through graph growth and MAC removals stays
+// bit-identical to a fresh NewNegativeSampler build, and so reproduces
+// its detached embedding exactly.
 func TestEmbedDetachedSharedSampler(t *testing.T) {
 	g, _, _ := twoFloorGraph(t, 10, 3, 9)
 	emb, err := Train(g, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	rec := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}}}
-	ov, err := rfgraph.NewOverlay(g, &rec)
-	if err != nil {
-		t.Fatalf("NewOverlay: %v", err)
+	var b NegativeSamplerBuilder
+	rng := rand.New(rand.NewSource(3))
+	scan := dataset.Record{ID: "scan", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}, {MAC: "b1", RSS: -61}}}
+	cfg := DefaultIncrementalConfig()
+	for step := 0; step < 6; step++ {
+		switch {
+		case step == 3:
+			if err := g.RemoveMAC("a4"); err != nil {
+				t.Fatalf("RemoveMAC: %v", err)
+			}
+		case step > 0:
+			rec := dataset.Record{ID: fmt.Sprintf("grow-%d", step), Readings: []dataset.Reading{
+				{MAC: "a0", RSS: -52 - float64(step)}, {MAC: "b2", RSS: -70}, {MAC: fmt.Sprintf("new-%d", step), RSS: -58},
+			}}
+			if _, err := g.AddRecord(&rec); err != nil {
+				t.Fatalf("AddRecord: %v", err)
+			}
+			emb.Grow(g.NumNodes(), rng)
+		}
+		warm, err := b.Rebuild(g, emb)
+		if err != nil {
+			t.Fatalf("step %d: Rebuild: %v", step, err)
+		}
+		fresh, err := NewNegativeSampler(g, emb)
+		if err != nil {
+			t.Fatalf("step %d: NewNegativeSampler: %v", step, err)
+		}
+		if !reflect.DeepEqual(warm, fresh) {
+			t.Fatalf("step %d: warm builder's sampler differs from a fresh build", step)
+		}
+		ov, err := rfgraph.NewOverlay(g, &scan)
+		if err != nil {
+			t.Fatalf("NewOverlay: %v", err)
+		}
+		a, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, warm)
+		if err != nil {
+			t.Fatalf("warm sampler: %v", err)
+		}
+		want, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, fresh)
+		if err != nil {
+			t.Fatalf("fresh sampler: %v", err)
+		}
+		for d := range a {
+			if a[d] != want[d] {
+				t.Fatalf("step %d: warm sampler changed the embedding at dim %d", step, d)
+			}
+		}
 	}
-	neg, err := NewNegativeSampler(ov, emb)
+}
+
+// TestNegativeSamplerBuilderFailureKeepsLast: a failed rebuild must leave
+// the sampler of the last successful one untouched — nodes and alias
+// table — however many times it fails, and the builder must recover once
+// the graph can be sampled again.
+func TestNegativeSamplerBuilderFailureKeepsLast(t *testing.T) {
+	g, _, _ := twoFloorGraph(t, 6, 3, 4)
+	emb, err := Train(g, DefaultConfig())
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	var b NegativeSamplerBuilder
+	if _, err := b.Rebuild(g, emb); err != nil {
+		t.Fatalf("first Rebuild: %v", err)
+	}
+	last, err := b.Rebuild(g, emb) // both node buffers are now in use
+	if err != nil {
+		t.Fatalf("second Rebuild: %v", err)
+	}
+	want, err := NewNegativeSampler(g, emb)
 	if err != nil {
 		t.Fatalf("NewNegativeSampler: %v", err)
 	}
-	cfg := DefaultIncrementalConfig()
-	a, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, neg)
-	if err != nil {
-		t.Fatalf("shared sampler: %v", err)
-	}
-	b, err := EmbedDetachedEgo(ov, emb, ov.Node(), cfg, nil)
-	if err != nil {
-		t.Fatalf("on-the-fly sampler: %v", err)
-	}
-	for d := range a {
-		if a[d] != b[d] {
-			t.Fatalf("sampler sharing changed result at dim %d", d)
+	for _, id := range g.MACNodes() {
+		if err := g.RemoveMAC(g.Name(id)); err != nil {
+			t.Fatalf("RemoveMAC: %v", err)
 		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Rebuild(g, emb); err == nil {
+			t.Fatal("Rebuild over a graph with no edges succeeded")
+		}
+		if !reflect.DeepEqual(last, want) {
+			t.Fatalf("failed rebuild %d overwrote the last published sampler", i)
+		}
+	}
+	rec := dataset.Record{ID: "back", Readings: []dataset.Reading{{MAC: "a0", RSS: -50}}}
+	if _, err := g.AddRecord(&rec); err != nil {
+		t.Fatalf("AddRecord: %v", err)
+	}
+	emb.Grow(g.NumNodes(), rand.New(rand.NewSource(1)))
+	healed, err := b.Rebuild(g, emb)
+	if err != nil {
+		t.Fatalf("Rebuild after the graph healed: %v", err)
+	}
+	if fresh, err := NewNegativeSampler(g, emb); err != nil || !reflect.DeepEqual(healed, fresh) {
+		t.Fatalf("healed sampler differs from a fresh build (err %v)", err)
 	}
 }
 
@@ -352,12 +441,16 @@ func TestEmbedNewNodeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if err := EmbedNewNode(g, emb, rfgraph.NodeID(10_000), DefaultIncrementalConfig()); err == nil {
+	neg, err := NewNegativeSampler(g, emb)
+	if err != nil {
+		t.Fatalf("NewNegativeSampler: %v", err)
+	}
+	if err := EmbedNewNode(g, emb, rfgraph.NodeID(10_000), DefaultIncrementalConfig(), neg); err == nil {
 		t.Error("expected error for unknown node")
 	}
 	bad := DefaultIncrementalConfig()
 	bad.Rounds = 0
-	if err := EmbedNewNode(g, emb, 0, bad); err == nil {
+	if err := EmbedNewNode(g, emb, 0, bad, neg); err == nil {
 		t.Error("expected error for invalid config")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // ErrEmptyDistribution is returned when an alias table is requested over no
@@ -52,7 +53,8 @@ type AliasBuilder struct {
 
 // Rebuild fills the builder's table for the (unnormalized, non-negative)
 // weights and returns it. The result is bit-identical to NewAlias on the
-// same weights.
+// same weights. Every weight is validated before the table is written, so
+// a failed Rebuild leaves the previous table intact.
 func (b *AliasBuilder) Rebuild(weights []float64) (*Alias, error) {
 	n := len(weights)
 	if n == 0 {
@@ -69,10 +71,10 @@ func (b *AliasBuilder) Rebuild(weights []float64) (*Alias, error) {
 		return nil, ErrEmptyDistribution
 	}
 	a := &b.table
-	a.prob = resizeF64(a.prob, n)
-	a.alias = resizeI32(a.alias, n)
+	a.prob = resize(a.prob, n)
+	a.alias = resize(a.alias, n)
 	// Scaled probabilities: p_i * n.
-	scaled := resizeF64(b.scaled, n)
+	scaled := resize(b.scaled, n)
 	b.scaled = scaled
 	small := b.small[:0]
 	large := b.large[:0]
@@ -108,30 +110,21 @@ func (b *AliasBuilder) Rebuild(weights []float64) (*Alias, error) {
 	}
 	// Keep the grown work stacks for the next Rebuild.
 	b.small, b.large = small[:0], large[:0]
-	if cap(a.thresh) < n {
-		a.thresh = make([]uint64, n)
-	}
-	a.thresh = a.thresh[:n]
+	a.thresh = resize(a.thresh, n)
 	for i, p := range a.prob {
 		a.thresh[i] = uint64(math.Ceil(p * (1 << 32)))
 	}
 	return a, nil
 }
 
-// resizeF64 returns s with length n, reusing its backing array when large
-// enough. Contents are unspecified.
-func resizeF64(s []float64, n int) []float64 {
+// resize returns s with length n, reusing its backing array when large
+// enough. It grows like append, with headroom, so a table rebuilt over a
+// slowly growing outcome set — the negative sampler of a graph that gains
+// a node per absorbed scan — reallocates only now and then instead of on
+// every rebuild. Contents are unspecified.
+func resize[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// resizeI32 returns s with length n, reusing its backing array when large
-// enough. Contents are unspecified.
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		s = slices.Grow(s[:0], n)
 	}
 	return s[:n]
 }

@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -197,6 +198,7 @@ func TestFastDeterminism(t *testing.T) {
 func TestAliasBuilderReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var b AliasBuilder
+	var last *Alias
 	for round := 0; round < 20; round++ {
 		n := 1 + rng.Intn(40)
 		weights := make([]float64, n)
@@ -209,6 +211,7 @@ func TestAliasBuilderReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewAlias: %v", err)
 		}
+		last = fresh
 		reused, err := b.Rebuild(weights)
 		if err != nil {
 			t.Fatalf("Rebuild: %v", err)
@@ -237,6 +240,10 @@ func TestAliasBuilderReuse(t *testing.T) {
 	}
 	if _, err := b.Rebuild([]float64{1, -2}); err == nil {
 		t.Fatal("Rebuild(negative) should fail")
+	}
+	// Failures validate before writing: the last good table survives.
+	if !reflect.DeepEqual(&b.table, last) {
+		t.Fatal("a failed Rebuild overwrote the previous table")
 	}
 }
 

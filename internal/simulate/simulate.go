@@ -2,7 +2,7 @@
 // with the statistical properties of the two datasets used in the GRAFICS
 // paper (Microsoft's Kaggle indoor-location corpus and the authors' Hong
 // Kong collection). Real traces are not redistributable, so this package is
-// the documented substitution (see DESIGN.md §2): a log-distance path-loss
+// the documented substitution: a log-distance path-loss
 // radio model with per-floor attenuation, lognormal shadowing, device
 // heterogeneity, and scan-size caps. These mechanisms reproduce the two
 // properties the paper shows make the problem hard — small per-record MAC
