@@ -1,8 +1,8 @@
 // Package walorder enforces journal-before-ack inside internal/lifecycle:
-// a mutation of the wrapped portfolio (AbsorbBuilding, RemoveMAC,
-// ReplaceSystem, AddTraining, or a Classify call carrying WithAbsorb)
-// must not be reachable while a WAL append error is unresolved. Three
-// rules, checked statement-by-statement per function:
+// a mutation of the wrapped portfolio (AbsorbBuilding, ApplyLearned,
+// RemoveMAC, ReplaceSystem, AddTraining, or a Classify call carrying
+// WithAbsorb) must not be reachable while a WAL append error is
+// unresolved. Three rules, checked statement-by-statement per function:
 //
 //   - Discarded journal error: calling Log.Append or a journal method as
 //     a bare statement, or assigning its error to _, silently drops the
@@ -42,6 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // mutators are the portfolio state mutations journal-before-ack protects.
 var mutators = map[string]bool{
 	"AbsorbBuilding": true,
+	"ApplyLearned":   true,
 	"RemoveMAC":      true,
 	"ReplaceSystem":  true,
 	"AddTraining":    true,

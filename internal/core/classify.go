@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -415,7 +416,8 @@ func (s *System) Do(ctx context.Context, req Request) (Result, error) {
 		return Result{}, err
 	}
 	if req.opts.absorb {
-		return s.absorbClassify(ctx, req.Record, req.opts)
+		res, _, err := s.absorbClassify(ctx, req.Record, req.opts)
+		return res, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -460,70 +462,116 @@ func (s *System) classifyRLocked(rec *dataset.Record, o options) (Result, error)
 	return res, nil
 }
 
+// DoAbsorb executes req as an absorb (WithAbsorb is implied) and also
+// returns what the absorb learned, for a journal to carry: replaying the
+// Learned through ApplyLearned on a replica of this model reproduces the
+// absorb without re-running the online embedding.
+func (s *System) DoAbsorb(ctx context.Context, req Request) (Result, Learned, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, Learned{}, err
+	}
+	return s.absorbClassify(ctx, req.Record, req.opts)
+}
+
 // absorbClassify is the write path behind WithAbsorb: classify the scan
 // and keep it (and any new MACs it introduced) in the bipartite graph.
 // On error the graph is rolled back to its prior state.
-func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o options) (Result, error) {
+func (s *System) absorbClassify(ctx context.Context, rec *dataset.Record, o options) (Result, Learned, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return Result{}, Learned{}, err
 	}
 	if !s.trained {
-		return Result{}, ErrNotTrained
+		return Result{}, Learned{}, ErrNotTrained
 	}
-	if s.knownMACs(rec) == 0 {
-		return Result{}, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
-	}
-	seq := s.predictSeq.Add(1)
-	// Give the node a unique internal name so repeated absorbs of the
-	// same scan do not collide.
-	insert := *rec
-	insert.ID = fmt.Sprintf("online-%d-%s", seq, rec.ID)
-	newMACs := make(map[string]struct{})
-	for _, rd := range insert.Readings {
-		if _, ok := s.graph.MACNode(rd.MAC); !ok {
-			newMACs[rd.MAC] = struct{}{}
-		}
-	}
-	id, err := s.graph.AddRecord(&insert)
+	in, err := s.insertScanLocked(rec)
 	if err != nil {
-		return Result{}, fmt.Errorf("core: online insert: %w", err)
+		return Result{}, Learned{}, err
 	}
-	// Any failure past this point must undo the insertion — including the
-	// MAC nodes it introduced — so a failed absorb leaves no residue.
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		_ = s.graph.RemoveRecord(insert.ID)
-		for mac := range newMACs {
-			_ = s.graph.RemoveMAC(mac)
-		}
-	}()
 	// Embed against the published sampler — the one a read-only
-	// classification of this scan would use — and refresh it once below,
-	// after the insert is committed.
-	inc := s.incrementalFor(o, seq)
-	if err := embed.EmbedNewNode(s.graph, s.emb, id, inc, s.neg); err != nil {
-		return Result{}, fmt.Errorf("core: online embedding: %w", err)
+	// classification of this scan would use — and refresh it once in
+	// keepLocked, after the insert is committed.
+	inc := s.incrementalFor(o, in.seq)
+	if err := embed.EmbedNewNode(s.graph, s.emb, in.id, inc, s.neg); err != nil {
+		s.undoInsertLocked(&in)
+		return Result{}, Learned{}, fmt.Errorf("core: online embedding: %w", err)
 	}
+	s.keepLocked(&in)
 	// resultFromEgo copies the ego into the Result, so handing it the
 	// live table row is safe: we hold the write lock for the whole call.
-	ego := s.emb.EgoOf(id)
-	committed = true
-	// Remember the kept record (under its uniquified ID) so Save can
-	// persist the crowd-grown graph and a refit can train on it. MACs the
-	// scan just (re)introduced are live again: a previously retired AP
-	// that reappears in the crowd is treated as re-installed.
-	s.absorbed = append(s.absorbed, insert)
-	for mac := range newMACs {
+	ego := s.emb.Ego[in.id]
+	learned := Learned{
+		Ego:   slices.Clone(ego),
+		Ctx:   slices.Clone(s.emb.Ctx[in.id]),
+		Seed:  inc.Seed,
+		Model: s.fingerprint,
+	}
+	return s.resultFromEgo(ego, o, nil), learned, nil
+}
+
+// scanInsert is an absorbed scan's footprint in the graph: the record
+// kept under its uniquified ID, its node, the MACs it introduced, and the
+// prediction sequence number that named it.
+type scanInsert struct {
+	rec     dataset.Record
+	id      rfgraph.NodeID
+	newMACs map[string]struct{}
+	seq     int64
+}
+
+// insertScanLocked is the front half of every absorb, live or replayed:
+// reject a scan that shares no MAC with the graph, name it uniquely, and
+// insert it with any MACs it introduces. The caller embeds the node, then
+// calls keepLocked — or undoInsertLocked on failure.
+//
+//grafics:locked mu
+func (s *System) insertScanLocked(rec *dataset.Record) (scanInsert, error) {
+	if s.knownMACs(rec) == 0 {
+		return scanInsert{}, fmt.Errorf("%w: record %q", ErrOutOfBuilding, rec.ID)
+	}
+	in := scanInsert{rec: *rec, seq: s.predictSeq.Add(1), newMACs: make(map[string]struct{})}
+	// Give the node a unique internal name so repeated absorbs of the
+	// same scan do not collide.
+	in.rec.ID = fmt.Sprintf("online-%d-%s", in.seq, rec.ID)
+	for _, rd := range in.rec.Readings {
+		if _, ok := s.graph.MACNode(rd.MAC); !ok {
+			in.newMACs[rd.MAC] = struct{}{}
+		}
+	}
+	id, err := s.graph.AddRecord(&in.rec)
+	if err != nil {
+		return scanInsert{}, fmt.Errorf("core: online insert: %w", err)
+	}
+	in.id = id
+	return in, nil
+}
+
+// undoInsertLocked removes an insertion — including the MAC nodes it
+// introduced — so a failed absorb leaves no residue.
+//
+//grafics:locked mu
+func (s *System) undoInsertLocked(in *scanInsert) {
+	_ = s.graph.RemoveRecord(in.rec.ID)
+	for mac := range in.newMACs {
+		_ = s.graph.RemoveMAC(mac)
+	}
+}
+
+// keepLocked commits an embedded insertion: it remembers the kept record
+// (under its uniquified ID) so Save can persist the crowd-grown graph and
+// a refit can train on it, and refreshes the negative sampler once. MACs
+// the scan just (re)introduced are live again: a previously retired AP
+// that reappears in the crowd is treated as re-installed.
+//
+//grafics:locked mu
+func (s *System) keepLocked(in *scanInsert) {
+	s.absorbed = append(s.absorbed, in.rec)
+	for mac := range in.newMACs {
 		delete(s.retired, mac)
 	}
 	s.refreshSampler()
 	absorbsTotal.Inc()
-	return s.resultFromEgo(ego, o, nil), nil
 }
 
 // ClassifyBatch classifies each record concurrently over a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"runtime"
@@ -84,11 +85,14 @@ func BenchmarkClassifyParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkAbsorb measures the crowd write path — graph insert, online
-// embedding against the published sampler, and the one sampler refresh
-// that follows — on a HongKongLike-scale building: 10 floors of 120 m
-// sides, about 4k graph nodes at fit, growing by one record node (and
-// any new MACs) with every absorbed scan.
+// BenchmarkAbsorb measures the crowd write path on a HongKongLike-scale
+// building: 10 floors of 120 m sides, about 4k graph nodes at fit,
+// growing by one record node (and any new MACs) with every absorbed scan.
+//
+//   - live: graph insert, online embedding against the published sampler,
+//     and the one sampler refresh that follows.
+//   - replay: a replica of the fit applying the rows the live absorbs
+//     journaled (ApplyLearned) — the same insert and refresh, no SGD.
 func BenchmarkAbsorb(b *testing.B) {
 	p := simulate.HongKongLike(200, 7)
 	p.NumBuildings = 1
@@ -114,15 +118,54 @@ func BenchmarkAbsorb(b *testing.B) {
 	if err := s.Fit(); err != nil {
 		b.Fatalf("Fit: %v", err)
 	}
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		b.Fatalf("Save: %v", err)
+	}
+	fitted := func(b *testing.B) *System {
+		sys, err := Load(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			b.Fatalf("Load: %v", err)
+		}
+		return sys
+	}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Classify(ctx, &stream[i%len(stream)], WithAbsorb(), WithoutEmbedding()); err != nil {
+	reportNodes := func(b *testing.B, sys *System) {
+		st := sys.Stats()
+		b.ReportMetric(float64(st.Records+st.MACs), "nodes")
+	}
+	b.Run("live", func(b *testing.B) {
+		sys := fitted(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Classify(ctx, &stream[i%len(stream)], WithAbsorb(), WithoutEmbedding()); err != nil {
+				b.Fatalf("absorb: %v", err)
+			}
+		}
+		b.StopTimer()
+		reportNodes(b, sys)
+	})
+	// One pass of live absorbs over the stream supplies the journaled
+	// rows; past the stream the replica re-applies them in order, as it
+	// would a second pass.
+	learned := make([]Learned, len(stream))
+	primary := fitted(b)
+	for i := range stream {
+		if _, learned[i], err = primary.DoAbsorb(ctx, NewRequest(&stream[i], WithoutEmbedding())); err != nil {
 			b.Fatalf("absorb: %v", err)
 		}
 	}
-	b.StopTimer()
-	st := s.Stats()
-	b.ReportMetric(float64(st.Records+st.MACs), "nodes")
+	b.Run("replay", func(b *testing.B) {
+		sys := fitted(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := sys.ApplyLearned(ctx, &stream[i%len(stream)], learned[i%len(stream)]); err != nil {
+				b.Fatalf("apply: %v", err)
+			}
+		}
+		b.StopTimer()
+		reportNodes(b, sys)
+	})
 }

@@ -14,11 +14,11 @@
 // (rfgraph.Overlay) and embeds it detachedly (embed.EmbedDetached),
 // writing nothing, so any number of classifications run in parallel. The
 // exclusive writers are AddTraining, Fit, absorbing classifications
-// (WithAbsorb), RemoveMAC, and Load: they take the write lock, mutate the
-// graph/embedding in place, and publish the new snapshot to subsequent
-// readers when the lock is released. ClassifyBatch fans work out over a
-// GOMAXPROCS-sized worker pool of such readers and honors context
-// cancellation (par.ForEachCtx).
+// (WithAbsorb, DoAbsorb), ApplyLearned, RemoveMAC, and Load: they take
+// the write lock, mutate the graph/embedding in place, and publish the
+// new snapshot to subsequent readers when the lock is released.
+// ClassifyBatch fans work out over a GOMAXPROCS-sized worker pool of
+// such readers and honors context cancellation (par.ForEachCtx).
 package core
 
 import (
@@ -129,6 +129,13 @@ type System struct {
 	//
 	// grafics:guardedby mu
 	fidx *floorIndex
+
+	// fingerprint names the fit this system serves (modelFingerprint of
+	// model), so a journaled absorb is applied by ApplyLearned only to a
+	// replica of the fit its rows were learned on. Set with model.
+	//
+	// grafics:guardedby mu
+	fingerprint uint64
 
 	// neg is the frozen negative-sampling distribution shared by all
 	// concurrent predictions; writers rebuild it after mutating the
@@ -284,6 +291,7 @@ func (s *System) FitCtx(ctx context.Context) error {
 	s.emb = emb
 	s.model = model
 	s.fidx = newFloorIndex(model)
+	s.fingerprint = modelFingerprint(model)
 	s.neg = neg
 	s.trained = true
 	return nil

@@ -121,6 +121,7 @@ func Load(r io.Reader) (*System, error) {
 	model := snap.Model
 	s.model = &model
 	s.fidx = newFloorIndex(s.model)
+	s.fingerprint = modelFingerprint(s.model)
 	s.predictSeq.Store(int64(snap.PredictSeq))
 	s.trained = true
 	return s, nil

@@ -318,11 +318,21 @@ func EmbedNewNode(g rfgraph.View, emb *Embedding, id rfgraph.NodeID, cfg Increme
 	if err != nil {
 		return err
 	}
-	seeder := sampling.NewSeeder(cfg.Seed)
-	emb.Grow(g.NumNodes(), seeder.NextRand())
+	PlaceNode(emb, g.NumNodes(), id, cfg.Seed, ego, ctx)
+	return nil
+}
+
+// PlaceNode is the store half of EmbedNewNode: it grows emb to cover n
+// node slots, initializing new slots from seed exactly as EmbedNewNode
+// does with cfg.Seed, and stores ego and ctx as node id's rows. Given the
+// rows and seed an EmbedNewNode call produced, it reproduces that call's
+// effect on emb bit for bit without the SGD — how a replayed absorb
+// applies journaled rows. The caller holds the write lock protecting emb
+// and hands over ego and ctx (they become the table rows).
+func PlaceNode(emb *Embedding, n int, id rfgraph.NodeID, seed int64, ego, ctx []float64) {
+	emb.Grow(n, sampling.NewSeeder(seed).NextRand())
 	emb.Ego[id] = ego
 	emb.Ctx[id] = ctx
-	return nil
 }
 
 // frozenUpdate is updatePair with the table rows frozen: only source (a

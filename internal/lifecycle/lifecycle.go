@@ -190,13 +190,14 @@ func Open(cfg core.Config, opts Options) (*Manager, error) {
 }
 
 // OpenCtx is Open with cancellation threaded through the boot sequence:
-// WAL-tail replay re-runs every absorb acknowledged since the last
-// snapshot through the full inference pipeline, which on a large fleet
-// is the slow half of a restart, so a cancelled ctx (deploy rollback,
-// SIGTERM during boot) aborts the restore promptly with ctx.Err()
-// instead of finishing a boot nobody wants. ctx governs only the open
-// itself, not the returned Manager's lifetime — background refits are
-// cancelled by Close, not by ctx.
+// WAL-tail replay re-applies every absorb acknowledged since the last
+// snapshot (from its journaled rows, or by re-embedding it when they do
+// not fit; see ApplyRecord), which on a large fleet is the slow half of
+// a restart, so a cancelled ctx (deploy rollback, SIGTERM during boot)
+// aborts the restore promptly with ctx.Err() instead of finishing a boot
+// nobody wants. ctx governs only the open itself, not the returned
+// Manager's lifetime — background refits are cancelled by Close, not by
+// ctx.
 func OpenCtx(ctx context.Context, cfg core.Config, opts Options) (*Manager, error) {
 	logf := opts.Logf
 	if logf == nil {
@@ -399,11 +400,20 @@ func WALDir(stateDir string) string { return walPath(stateDir) }
 // ApplyRecord applies one journaled record to a portfolio: an absorb is
 // routed to its attributed building (no re-attribution — the journal
 // already knows the owner), a retirement is re-run fleet-wide. This is
-// the single replay path shared by boot-time WAL recovery and by
-// replication followers applying a shipped log, so the two can never
-// drift in how they interpret a record. ErrUnknownMAC on a retirement is
-// not an error: no restored building holds the AP anymore (e.g. retired
-// again after a re-absorb), which is already the desired end state.
+// the single replay path shared by boot-time WAL recovery, replication
+// followers applying a shipped log, and the promotion audit, so they can
+// never drift in how they interpret a record. ErrUnknownMAC on a
+// retirement is not an error: no restored building holds the AP anymore
+// (e.g. retired again after a re-absorb), which is already the desired
+// end state.
+//
+// An absorb is applied from the rows the record carries, with no online
+// embedding, when they were learned on the fit the building serves, have
+// the embedding's dimension and are all finite: the building then holds
+// exactly what the journaling absorb left. Otherwise — a record from
+// before rows were journaled, or from another fit — the scan is embedded
+// again, as a live absorb would, and grafics_lifecycle_replay_reembeds_total
+// counts it.
 func ApplyRecord(ctx context.Context, p *portfolio.Portfolio, r wal.Record) error {
 	if r.RetireMAC != "" {
 		if _, err := p.RemoveMAC(r.RetireMAC); err != nil && !errors.Is(err, portfolio.ErrUnknownMAC) {
@@ -411,8 +421,20 @@ func ApplyRecord(ctx context.Context, p *portfolio.Portfolio, r wal.Record) erro
 		}
 		return nil
 	}
-	_, err := p.AbsorbBuilding(ctx, r.Building, &r.Scan)
+	learned := core.Learned{Ego: r.Ego, Ctx: r.Ctx, Seed: r.Seed, Model: r.Model}
+	err := p.ApplyLearned(ctx, r.Building, &r.Scan, learned)
+	if !errors.Is(err, core.ErrStaleLearned) {
+		return err
+	}
+	replayReembedsTotal.Inc()
+	_, err = p.AbsorbBuilding(ctx, r.Building, &r.Scan)
 	return err
+}
+
+// absorbRecord is the journal entry of one absorb: the scan, its
+// building, and what the absorb learned.
+func absorbRecord(building string, scan *dataset.Record, l core.Learned) wal.Record {
+	return wal.Record{Building: building, Scan: *scan, Ego: l.Ego, Ctx: l.Ctx, Seed: l.Seed, Model: l.Model}
 }
 
 // describeRecord names a record for log lines.
@@ -464,7 +486,7 @@ func (m *Manager) ClassifyRouted(ctx context.Context, rec *dataset.Record, opts 
 		routed, err := m.p.ClassifyRouted(ctx, rec, opts...)
 		if err == nil {
 			spanDone := obs.StartSpan(ctx, "journal")
-			err = m.journal(wal.Record{Building: routed.Building, Scan: *rec})
+			err = m.journal(absorbRecord(routed.Building, rec, routed.Learned))
 			spanDone()
 		}
 		return routed, err
@@ -507,7 +529,7 @@ func (m *Manager) ClassifyRoutedBatch(ctx context.Context, records []dataset.Rec
 		routed, errs := m.p.ClassifyRoutedBatch(ctx, records, opts...)
 		for i := range routed {
 			if errs[i] == nil {
-				errs[i] = m.journal(wal.Record{Building: routed[i].Building, Scan: records[i]})
+				errs[i] = m.journal(absorbRecord(routed[i].Building, &records[i], routed[i].Learned))
 			}
 			if errs[i] == nil {
 				touched[routed[i].Building] = struct{}{}
@@ -527,19 +549,19 @@ func (m *Manager) AbsorbBuilding(ctx context.Context, building string, rec *data
 	if err := m.admitAbsorb(); err != nil {
 		return core.Result{}, err
 	}
-	res, err := func() (core.Result, error) {
+	routed, err := func() (portfolio.Routed, error) {
 		m.mu.RLock()
 		defer m.mu.RUnlock()
-		res, err := m.p.AbsorbBuilding(ctx, building, rec, opts...)
+		routed, err := m.p.AbsorbBuilding(ctx, building, rec, opts...)
 		if err == nil {
-			err = m.journal(wal.Record{Building: building, Scan: *rec})
+			err = m.journal(absorbRecord(building, rec, routed.Learned))
 		}
-		return res, err
+		return routed, err
 	}()
 	if err == nil {
 		m.maybeRefit(building)
 	}
-	return res, err
+	return routed.Result, err
 }
 
 // RemoveMAC retires an access point fleet-wide, journaled so the
@@ -559,8 +581,9 @@ func (m *Manager) RemoveMAC(mac string) (int, error) {
 	return n, err
 }
 
-// journal appends one write to the WAL. The caller holds m.mu (shared),
-// which orders the append strictly before any snapshot's WAL truncation.
+// journal appends one write to the WAL. The caller has already applied
+// the write in memory and holds m.mu (shared), which orders the append
+// strictly before any snapshot's WAL truncation.
 // An append failure is returned so the caller fails the request instead
 // of acknowledging a write that would not survive a crash: the write did
 // land in memory (and the next snapshot would capture it), but the

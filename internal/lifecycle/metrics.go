@@ -13,6 +13,8 @@ var (
 		"Writes (absorbs, retirements) journaled to the WAL before acknowledgment.")
 	replayedTotal = obs.Default().Counter("grafics_lifecycle_wal_replayed_total",
 		"Journaled records replayed into restored models at open.")
+	replayReembedsTotal = obs.Default().Counter("grafics_lifecycle_replay_reembeds_total",
+		"Journaled absorbs replayed by re-running the online embedding because their rows could not be applied (none, another fit, wrong length, non-finite).")
 
 	refitsTotal = obs.Default().CounterVec("grafics_lifecycle_refits_total",
 		"Completed background refits by result (ok, err, canceled).", "result")

@@ -295,20 +295,37 @@ func (p *Portfolio) Adopt(other *Portfolio) {
 
 // AbsorbBuilding classifies a scan directly against a named building with
 // WithAbsorb forced, keeping the attribution MAC index in step — the
-// warm-restart path, where the write-ahead log already knows which
-// building each journaled scan belongs to and re-attribution by overlap
-// could misroute a scan whose building has since grown.
-func (p *Portfolio) AbsorbBuilding(ctx context.Context, name string, rec *dataset.Record, opts ...core.Option) (core.Result, error) {
+// path for writes whose building is already known, such as a journaled
+// absorb whose rows cannot be applied (re-attribution by overlap could
+// misroute a scan whose building has since grown). No attribution runs,
+// so the returned Routed has a zero Match.
+func (p *Portfolio) AbsorbBuilding(ctx context.Context, name string, rec *dataset.Record, opts ...core.Option) (Routed, error) {
 	sys, err := p.System(name)
 	if err != nil {
-		return core.Result{}, err
+		return Routed{}, err
 	}
-	res, err := sys.Classify(ctx, rec, append(append([]core.Option(nil), opts...), core.WithAbsorb())...)
+	res, learned, err := sys.DoAbsorb(ctx, core.NewRequest(rec, opts...))
 	if err != nil {
-		return core.Result{}, fmt.Errorf("portfolio: building %q: %w", name, err)
+		return Routed{}, fmt.Errorf("portfolio: building %q: %w", name, err)
 	}
 	p.registerMACs(name, rec)
-	return res, nil
+	return Routed{Building: name, Result: res, Learned: learned}, nil
+}
+
+// ApplyLearned keeps a scan in a named building with the rows a journaled
+// absorb learned (core.System.ApplyLearned), keeping the attribution MAC
+// index in step like AbsorbBuilding. It fails with core.ErrStaleLearned,
+// changing nothing, when the rows do not fit the building's model.
+func (p *Portfolio) ApplyLearned(ctx context.Context, name string, rec *dataset.Record, l core.Learned) error {
+	sys, err := p.System(name)
+	if err != nil {
+		return err
+	}
+	if err := sys.ApplyLearned(ctx, rec, l); err != nil {
+		return fmt.Errorf("portfolio: building %q: %w", name, err)
+	}
+	p.registerMACs(name, rec)
+	return nil
 }
 
 // Attribute determines which building a scan was taken in by MAC overlap.
@@ -369,6 +386,10 @@ type Routed struct {
 	Match Match
 	// Result is the floor classification within that building.
 	Result core.Result
+	// Learned is what an absorbing classification learned (zero for a
+	// read): the journal carries it so replay can skip the online
+	// embedding. It is model state, not part of any wire response.
+	Learned core.Learned
 }
 
 var _ core.Classifier = (*Portfolio)(nil)
@@ -398,17 +419,22 @@ func (p *Portfolio) ClassifyRouted(ctx context.Context, rec *dataset.Record, opt
 		return Routed{}, err
 	}
 	req := core.NewRequest(rec, opts...)
-	res, err := sys.Do(ctx, req)
+	if !req.Absorb() {
+		res, err := sys.Do(ctx, req)
+		if err != nil {
+			return Routed{}, fmt.Errorf("portfolio: building %q: %w", match.Building, err)
+		}
+		return Routed{Building: match.Building, Match: match, Result: res}, nil
+	}
+	res, learned, err := sys.DoAbsorb(ctx, req)
 	if err != nil {
 		return Routed{}, fmt.Errorf("portfolio: building %q: %w", match.Building, err)
 	}
-	if req.Absorb() {
-		// The absorbed scan's MACs (including newly installed APs) now
-		// belong to the building's graph; keep the attribution index in
-		// step so future scans seeing those APs route correctly.
-		p.registerMACs(match.Building, rec)
-	}
-	return Routed{Building: match.Building, Match: match, Result: res}, nil
+	// The absorbed scan's MACs (including newly installed APs) now belong
+	// to the building's graph; keep the attribution index in step so
+	// future scans seeing those APs route correctly.
+	p.registerMACs(match.Building, rec)
+	return Routed{Building: match.Building, Match: match, Result: res, Learned: learned}, nil
 }
 
 // registerMACs adds a scan's MACs to a building's attribution set. Only

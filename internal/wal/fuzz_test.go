@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
 // fuzzRecord builds the i-th record of the deterministic append sequence
-// the replay fuzzers mutate. The IDs make prefix checks unambiguous.
+// the replay fuzzers mutate. The IDs make prefix checks unambiguous. Odd
+// records carry learned rows like a journaled absorb; even ones have the
+// older rowless shape, so a log mixes both.
 func fuzzRecord(i int) Record {
-	return Record{
+	r := Record{
 		Building: fmt.Sprintf("b%d", i%3),
 		Scan: dataset.Record{
 			ID: fmt.Sprintf("scan-%04d", i),
@@ -23,6 +26,31 @@ func fuzzRecord(i int) Record {
 			},
 			Floor: i % 4,
 		},
+	}
+	if i%2 == 1 {
+		r.Ego = make([]float64, 8)
+		r.Ctx = make([]float64, 8)
+		for d := range r.Ego {
+			r.Ego[d] = 0.01 * float64(i*8+d)
+			r.Ctx[d] = -0.5 / float64(i+d)
+		}
+		r.Seed = int64(1000 + i)
+		r.Model = 0x9e3779b97f4a7c15 ^ uint64(i)
+	}
+	return r
+}
+
+// checkDelivered fails unless r is exactly the fuzzRecord its ID names:
+// a frame that passed its checksum must deliver the record as appended,
+// rows and all.
+func checkDelivered(t *testing.T, r Record) {
+	t.Helper()
+	var i int
+	if _, err := fmt.Sscanf(r.Scan.ID, "scan-%04d", &i); err != nil {
+		t.Fatalf("delivered record with unexpected ID %q", r.Scan.ID)
+	}
+	if want := fuzzRecord(i); !reflect.DeepEqual(r, want) {
+		t.Fatalf("record %d delivered as %+v, appended as %+v", i, r, want)
 	}
 }
 
@@ -124,6 +152,7 @@ func FuzzWALReplay(f *testing.F) {
 
 		var got []string
 		n, err := Replay(dir, func(r Record) error {
+			checkDelivered(t, r)
 			got = append(got, r.Scan.ID)
 			return nil
 		})
@@ -197,15 +226,15 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00")) // empty payload, CRC matches, gob fails
 	f.Add([]byte("\x04\x00\x00"))                     // torn header
 	f.Add([]byte("\xff\xff\xff\xff\x00\x00\x00\x00")) // implausible length
-	// A fully valid frame, so the fuzzer starts with a seed that reaches
-	// the gob decoder with a well-formed payload.
-	{
+	// Fully valid frames, rowless and row-carrying, so the fuzzer starts
+	// with seeds that reach the gob decoder with a well-formed payload.
+	for i := 0; i < 2; i++ {
 		dir := f.TempDir()
 		l, err := Open(Options{Dir: dir, SyncEvery: -1})
 		if err != nil {
 			f.Fatalf("Open: %v", err)
 		}
-		if err := l.Append(fuzzRecord(0)); err != nil {
+		if err := l.Append(fuzzRecord(i)); err != nil {
 			f.Fatalf("Append: %v", err)
 		}
 		if err := l.Close(); err != nil {

@@ -42,8 +42,9 @@ import (
 
 // Record is one journaled write. An absorb carries the scan and the
 // building it was attributed to, so replay can route it back to the
-// right model; an AP retirement carries only the MAC. Exactly one of the
-// two shapes is set.
+// right model, plus what the absorb learned, so replay can apply it
+// instead of re-running the online embedding; an AP retirement carries
+// only the MAC. Exactly one of the two shapes is set.
 type Record struct {
 	// Building is the attributed building name (absorbs only).
 	Building string
@@ -52,6 +53,14 @@ type Record struct {
 	// RetireMAC, when non-empty, marks this record as a fleet-wide AP
 	// retirement instead of an absorb.
 	RetireMAC string
+	// Ego and Ctx are the scan node's embedding rows as the absorb
+	// learned them, Seed initialized the rows of the MACs it introduced,
+	// and Model fingerprints the fit the rows were learned on (absorbs
+	// only). Every frame is its own gob stream, so a record written
+	// before these fields existed decodes with them empty.
+	Ego, Ctx []float64
+	Seed     int64
+	Model    uint64
 }
 
 // Options configures a Log.
